@@ -35,7 +35,7 @@ def count_by_word_topic(tokens: TokenList, vocabulary_size: int, num_topics: int
         raise ValueError("all tokens must have a topic assignment before counting")
     flat = tokens.word_ids.astype(np.int64) * num_topics + tokens.topics.astype(np.int64)
     counts = np.bincount(flat, minlength=vocabulary_size * num_topics)
-    return counts.reshape(vocabulary_size, num_topics).astype(np.int64)
+    return counts.reshape(vocabulary_size, num_topics).astype(np.int64, copy=False)
 
 
 def count_by_doc_topic_dense(tokens: TokenList, num_documents: int, num_topics: int) -> np.ndarray:
@@ -46,7 +46,7 @@ def count_by_doc_topic_dense(tokens: TokenList, num_documents: int, num_topics: 
         raise ValueError("all tokens must have a topic assignment before counting")
     flat = tokens.doc_ids.astype(np.int64) * num_topics + tokens.topics.astype(np.int64)
     counts = np.bincount(flat, minlength=num_documents * num_topics)
-    return counts.reshape(num_documents, num_topics).astype(np.int64)
+    return counts.reshape(num_documents, num_topics).astype(np.int64, copy=False)
 
 
 def normalize_word_topic(word_topic: np.ndarray, beta: float) -> np.ndarray:
@@ -133,19 +133,10 @@ class SparseDocTopicMatrix:
         """Build a CSR matrix from a dense ``D x K`` array."""
         dense = np.asarray(dense)
         num_documents, num_topics = dense.shape
+        docs, topics = np.nonzero(dense)  # row-major, i.e. CSR order
         indptr = np.zeros(num_documents + 1, dtype=np.int64)
-        indices_parts = []
-        values_parts = []
-        for d in range(num_documents):
-            nz = np.nonzero(dense[d])[0]
-            indptr[d + 1] = indptr[d] + len(nz)
-            indices_parts.append(nz.astype(np.int32))
-            values_parts.append(dense[d, nz].astype(np.int32))
-        indices = (
-            np.concatenate(indices_parts) if indices_parts else np.zeros(0, dtype=np.int32)
-        )
-        values = np.concatenate(values_parts) if values_parts else np.zeros(0, dtype=np.int32)
-        return cls(num_documents, num_topics, indptr, indices, values)
+        np.cumsum(np.bincount(docs, minlength=num_documents), out=indptr[1:])
+        return cls(num_documents, num_topics, indptr, topics, dense[docs, topics])
 
     @classmethod
     def empty(cls, num_documents: int, num_topics: int) -> "SparseDocTopicMatrix":
@@ -171,6 +162,12 @@ class SparseDocTopicMatrix:
         start, stop = self.indptr[doc_id], self.indptr[doc_id + 1]
         return self.indices[start:stop], self.values[start:stop]
 
+    def row_ids(self) -> np.ndarray:
+        """Document id of every stored entry, aligned with ``indices``/``values``."""
+        return np.repeat(
+            np.arange(self.num_documents, dtype=np.int64), np.diff(self.indptr)
+        )
+
     def row_nnz(self, doc_id: int) -> int:
         """Number of non-zero topics (``K_d``) in a document."""
         return int(self.indptr[doc_id + 1] - self.indptr[doc_id])
@@ -184,9 +181,7 @@ class SparseDocTopicMatrix:
     def to_dense(self) -> np.ndarray:
         """Densify to a ``D x K`` int64 array (for tests and small inputs)."""
         dense = np.zeros((self.num_documents, self.num_topics), dtype=np.int64)
-        for d in range(self.num_documents):
-            cols, vals = self.row(d)
-            dense[d, cols] = vals
+        dense[self.row_ids(), self.indices] = self.values
         return dense
 
     def memory_bytes(self, value_bytes: int = 4, index_bytes: int = 4) -> int:

@@ -313,7 +313,10 @@ class DistributedTrainer:
             word_topic, ring_cost, a2a_cost = self._merged_word_topic(
                 layouts, plan, vocabulary_size, ring, alltoall
             )
-            word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
+            # The E-step is done with the old word side: recycle its buffers.
+            word_side = WordSide.prepare(
+                word_topic, params.alpha, params.beta, reuse=word_side
+            )
 
             # --------------------------- Simulated timing ---------------------------- #
             per_device_phases = [
@@ -373,8 +376,8 @@ class DistributedTrainer:
             log_likelihood: Optional[float] = None
             if iteration % config.evaluate_every == 0 or iteration == config.num_iterations:
                 all_tokens = gather_layout_tokens(layouts)
-                likelihood = self._training_likelihood(
-                    all_tokens, doc_topic, word_topic, num_documents
+                likelihood = sparse_training_likelihood(
+                    all_tokens, doc_topic, word_topic, num_documents, params, word_side
                 )
                 log_likelihood = likelihood.per_token
 
@@ -584,17 +587,6 @@ class DistributedTrainer:
             shard_phases = cost_iteration_phases(shard_stats, config).phase_seconds
             phases[PHASE_PREPROCESSING] = shard_phases[PHASE_PREPROCESSING]
         return phases
-
-    def _training_likelihood(
-        self,
-        tokens: TokenList,
-        doc_topic: SparseDocTopicMatrix,
-        word_topic: np.ndarray,
-        num_documents: int,
-    ):
-        return sparse_training_likelihood(
-            tokens, doc_topic, word_topic, num_documents, self.config.params
-        )
 
 
 def _device_workload_stats(

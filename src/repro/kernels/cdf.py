@@ -23,6 +23,11 @@ import numpy as np
 #: draws over wide CDFs are processed in blocks (or per word) below this.
 DENSE_BLOCK_ELEMENTS = 1 << 22
 
+#: Elements of one block of the M-step kernels (1 MiB of float64): a
+#: ``B̂`` row block and its CDF rows — or a run of (token, non-zero)
+#: pairs and their index arrays — stay in L2 across the passes over them.
+CACHE_BLOCK_ELEMENTS = 1 << 17
+
 #: Row width at or below which a blocked dense comparison beats the
 #: batched binary search (gathers are contiguous and K is cache-sized).
 DENSE_ROW_WIDTH = 512

@@ -19,15 +19,16 @@ bit-identical to it and what both trainers run by default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from ..core.count_matrices import SparseDocTopicMatrix, normalize_word_topic
+from ..core.count_matrices import SparseDocTopicMatrix
 from ..core.tokens import TokenList
 from ..kernels.backend import KernelBackend, resolve_backend
 from ..kernels.cdf import sample_rows_from_cdf
 from ..kernels.estep import esca_estep_vectorized
+from ..kernels.mstep import fill_word_side
 
 
 @dataclass
@@ -50,12 +51,55 @@ class WordSide:
     prior_mass: np.ndarray
 
     @classmethod
-    def prepare(cls, word_topic_counts: np.ndarray, alpha: float, beta: float) -> "WordSide":
-        """Compute ``B̂``, its per-row CDF and the prior masses from the counts ``B``."""
-        probs = normalize_word_topic(word_topic_counts, beta)
-        cdf = np.cumsum(probs, axis=1)
-        prior_mass = alpha * probs.sum(axis=1)
-        return cls(probs=probs, cdf=cdf, prior_mass=prior_mass)
+    def prepare(
+        cls,
+        word_topic_counts: np.ndarray,
+        alpha: float,
+        beta: float,
+        tokens: Optional[TokenList] = None,
+        reuse: Optional["WordSide"] = None,
+    ) -> "WordSide":
+        """Compute ``B̂``, its per-row CDF and the prior masses from the counts ``B``.
+
+        The build is sparsity-aware (:func:`repro.kernels.mstep.fill_word_side`):
+        it needs the non-zero coordinates of ``B``, read off ``tokens`` — the
+        token list ``B`` was counted from, one ``O(T log T)`` sort — when that is the
+        shorter input, and off the matrix itself otherwise.  Either way the
+        values come from ``B``, and the result is bit-identical to
+        :func:`~repro.core.count_matrices.normalize_word_topic` plus a
+        row-wise ``cumsum``/``sum``.
+
+        **Aliasing rule:** a ``WordSide`` passed as ``reuse`` donates its
+        buffers to the result when the shapes match and is dead afterwards —
+        its arrays are overwritten in place, so the caller must drop every
+        reference to it (``side = WordSide.prepare(..., reuse=side)``).
+        """
+        counts = np.ascontiguousarray(word_topic_counts)
+        num_topics = counts.shape[1]
+        flat_counts = counts.reshape(-1)
+        from_tokens = tokens is not None and tokens.num_tokens < counts.size
+        if from_tokens:
+            # Sort and drop repeats: ``np.unique`` without counts takes a
+            # hash path that is an order of magnitude slower than the sort.
+            cells = np.sort(tokens.word_ids.astype(np.int64) * num_topics + tokens.topics)
+            nonzeros = cells[np.diff(cells, prepend=-1) > 0]
+        else:
+            nonzeros = np.flatnonzero(flat_counts)
+        values = flat_counts[nonzeros]
+        if from_tokens and values.sum() != tokens.num_tokens:
+            raise ValueError("word_topic_counts was not counted from tokens")
+        if reuse is not None and reuse.probs.shape == counts.shape:
+            side = reuse
+        else:
+            side = cls(
+                probs=np.empty(counts.shape, dtype=np.float64),
+                cdf=np.empty(counts.shape, dtype=np.float64),
+                prior_mass=np.empty(counts.shape[0], dtype=np.float64),
+            )
+        fill_word_side(
+            nonzeros, values, alpha, beta, side.probs, side.cdf, side.prior_mass
+        )
+        return side
 
     @property
     def num_topics(self) -> int:

@@ -26,11 +26,12 @@ import numpy as np
 
 from ..bench.timing import stopwatch
 from ..core.count_matrices import SparseDocTopicMatrix, count_by_word_topic
-from ..core.likelihood import LikelihoodResult, training_log_likelihood
+from ..core.likelihood import LikelihoodResult
 from ..core.model import LDAModel
 from ..core.tokens import TokenList
 from ..gpusim.cost_model import CostModel
 from ..gpusim.profiler import Profiler
+from ..kernels.mstep import doc_side_mass
 from ..telemetry.clock import DOMAIN_WALL
 from ..telemetry.metrics import MetricsRegistry, null_metrics
 from ..telemetry.tracer import Tracer, null_tracer
@@ -61,16 +62,40 @@ def sparse_training_likelihood(
     word_topic: np.ndarray,
     num_documents: int,
     params,
+    word_side: Optional[WordSide] = None,
 ) -> LikelihoodResult:
-    """Training log-likelihood from the sparse ``A`` (densified row by row).
+    """Training log-likelihood from the sparse ``A`` in ``O(T·K_d)``.
+
+    A token's probability ``Σ_k θ_dk·B̂_vk`` is the E-step's own normaliser
+    over the smoothed document length: ``(Σ_{k∈nz(d)} A_dk·B̂_vk + Q_v) /
+    (N_d + Kα)``.  ``word_side`` is the ``WordSide`` prepared from
+    ``word_topic`` (prepared here when the caller holds only ``B``).  Agrees
+    with :func:`~repro.core.likelihood.training_log_likelihood` on the
+    densified ``A`` up to summation order.
 
     Shared by both trainers for the same reason as :func:`rebuild_doc_topic`.
     """
-    dense_doc_topic = np.zeros((num_documents, params.num_topics), dtype=np.int64)
-    for doc_id in range(num_documents):
-        cols, vals = doc_topic.row(doc_id)
-        dense_doc_topic[doc_id, cols] = vals
-    return training_log_likelihood(tokens, dense_doc_topic, word_topic, params)
+    if tokens.num_tokens == 0:
+        return LikelihoodResult(0.0, 0)
+    if word_side is None:
+        word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
+    doc_mass = doc_side_mass(
+        tokens.doc_ids,
+        tokens.word_ids,
+        doc_topic.indptr,
+        doc_topic.indices,
+        doc_topic.values,
+        word_side.probs,
+    )
+    smoothed_lengths = (
+        np.bincount(doc_topic.row_ids(), weights=doc_topic.values, minlength=num_documents)
+        + params.num_topics * params.alpha
+    )
+    token_probs = (doc_mass + word_side.prior_mass[tokens.word_ids]) / smoothed_lengths[
+        tokens.doc_ids
+    ]
+    token_probs = np.maximum(token_probs, 1e-300)
+    return LikelihoodResult(float(np.log(token_probs).sum()), tokens.num_tokens)
 
 
 @dataclass
@@ -193,7 +218,9 @@ class SaberLDATrainer:
         doc_topic = self._rebuild_doc_topic(layouts, num_documents)
         all_tokens = gather_layout_tokens(layouts)
         word_topic = count_by_word_topic(all_tokens, vocabulary_size, params.num_topics)
-        word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
+        word_side = WordSide.prepare(
+            word_topic, params.alpha, params.beta, tokens=all_tokens
+        )
 
         history: List[IterationRecord] = []
         cumulative = 0.0
@@ -219,7 +246,10 @@ class SaberLDATrainer:
             doc_topic = self._rebuild_doc_topic(layouts, num_documents)
             all_tokens = gather_layout_tokens(layouts)
             word_topic = count_by_word_topic(all_tokens, vocabulary_size, params.num_topics)
-            word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
+            # The E-step is done with the old word side: recycle its buffers.
+            word_side = WordSide.prepare(
+                word_topic, params.alpha, params.beta, tokens=all_tokens, reuse=word_side
+            )
 
             # ------------------------- Simulated timing ------------------------- #
             stats = WorkloadStats.measure(
@@ -239,8 +269,8 @@ class SaberLDATrainer:
             # --------------------------- Model quality -------------------------- #
             log_likelihood: Optional[float] = None
             if iteration % config.evaluate_every == 0 or iteration == config.num_iterations:
-                likelihood = self._training_likelihood(
-                    all_tokens, doc_topic, word_topic, num_documents
+                likelihood = sparse_training_likelihood(
+                    all_tokens, doc_topic, word_topic, num_documents, params, word_side
                 )
                 log_likelihood = likelihood.per_token
 
@@ -299,17 +329,6 @@ class SaberLDATrainer:
         self, layouts: List[ChunkLayout], num_documents: int
     ) -> SparseDocTopicMatrix:
         return rebuild_doc_topic(layouts, num_documents, self.config.params.num_topics)
-
-    def _training_likelihood(
-        self,
-        tokens: TokenList,
-        doc_topic: SparseDocTopicMatrix,
-        word_topic: np.ndarray,
-        num_documents: int,
-    ) -> LikelihoodResult:
-        return sparse_training_likelihood(
-            tokens, doc_topic, word_topic, num_documents, self.config.params
-        )
 
     def _trace_iteration(
         self, iteration: int, start_seconds: float, phase_seconds: Dict[str, float]

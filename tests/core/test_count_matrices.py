@@ -24,6 +24,19 @@ class TestWordTopicCounts:
         matrix = count_by_word_topic(tiny_tokens, 5, 3)
         assert matrix.sum() == tiny_tokens.num_tokens
 
+    @pytest.mark.parametrize(
+        "count, ids", [(count_by_word_topic, "word_ids"), (count_by_doc_topic_dense, "doc_ids")]
+    )
+    def test_returns_the_bincount_result_uncopied(self, tiny_tokens, count, ids):
+        matrix = count(tiny_tokens, 5, 3)
+        expected = np.zeros((5, 3), dtype=np.int64)
+        np.add.at(expected, (getattr(tiny_tokens, ids), tiny_tokens.topics), 1)
+        assert matrix.dtype == np.int64 and matrix.shape == (5, 3)
+        np.testing.assert_array_equal(matrix, expected)
+        # A reshaped view of ``np.bincount``'s own int64 buffer, not a
+        # second V x K (D x K) copy of it.
+        assert not matrix.flags.owndata and matrix.base.ndim == 1
+
     def test_requires_assigned_topics(self):
         from repro.core import TokenList
 

@@ -46,6 +46,26 @@ class TestCountMatrixProperties:
         sparse = SparseDocTopicMatrix.from_tokens(tokens, tokens.num_documents, 8)
         assert sparse.total_count() == tokens.num_tokens
 
+    @given(
+        dense=arrays(
+            np.int64,
+            st.tuples(st.integers(0, 8), st.integers(1, 8)),
+            # Mostly zeros: empty rows and all-zero matrices are common.
+            elements=st.sampled_from([0, 0, 0, 1, 2, 9]),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_dense_round_trip_is_array_for_array(self, dense):
+        sparse = SparseDocTopicMatrix.from_dense(dense)
+        np.testing.assert_array_equal(sparse.to_dense(), dense)
+        again = SparseDocTopicMatrix.from_dense(sparse.to_dense())
+        assert again.num_documents == sparse.num_documents == dense.shape[0]
+        for name in ("indptr", "indices", "values"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(sparse, name))
+            assert getattr(again, name).dtype == getattr(sparse, name).dtype
+        assert sparse.num_nonzeros == np.count_nonzero(dense)
+        np.testing.assert_array_equal(np.diff(sparse.indptr), (dense != 0).sum(axis=1))
+
 
 class TestSscProperties:
     @given(values=arrays(np.int64, st.integers(1, 300), elements=st.integers(0, 1000)))
