@@ -30,7 +30,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: Directories never walked into when a *directory* argument is expanded.
 #: Explicitly named files are always analysed — that is how the fixture
@@ -324,23 +324,3 @@ class LintEngine:
         return AnalysisResult(
             findings=findings, files_checked=len(files), parse_errors=parse_errors
         )
-
-
-def attach_snippets(findings: Iterable[Finding], lines: Sequence[str]) -> List[Finding]:
-    """Fill in ``snippet`` for findings produced without line text."""
-    out = []
-    for finding in findings:
-        if finding.snippet or not (1 <= finding.line <= len(lines)):
-            out.append(finding)
-        else:
-            out.append(
-                Finding(
-                    rule_id=finding.rule_id,
-                    path=finding.path,
-                    line=finding.line,
-                    column=finding.column,
-                    message=finding.message,
-                    snippet=lines[finding.line - 1],
-                )
-            )
-    return out

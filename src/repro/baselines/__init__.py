@@ -3,9 +3,9 @@
 from .base import BaselineHistory, BaselineResult, BaselineTrainer, GpuOutOfMemoryError
 from .dense_gpu import DenseGpuTrainer
 from .esca_cpu import EscaCpuTrainer
-from .ftree_lda import FTreeLdaTrainer, make_ftree_lda
+from .ftree_lda import FTreeLdaTrainer
 from .gibbs import CollapsedGibbsTrainer
-from .warplda import WarpLdaTrainer, make_warplda
+from .warplda import WarpLdaTrainer
 
 __all__ = [
     "BaselineHistory",
@@ -17,6 +17,4 @@ __all__ = [
     "FTreeLdaTrainer",
     "GpuOutOfMemoryError",
     "WarpLdaTrainer",
-    "make_ftree_lda",
-    "make_warplda",
 ]

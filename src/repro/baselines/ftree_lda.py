@@ -59,14 +59,3 @@ class FTreeLdaTrainer(CollapsedGibbsTrainer):
         bandwidth = device.global_bandwidth * device.achievable_global_fraction
         compute = tokens * (stats.mean_doc_nnz + 2.0 * log_k) * 2.0 / device.compute_throughput
         return max(tokens * bytes_per_token / bandwidth, compute)
-
-
-def make_ftree_lda(
-    num_topics: int, num_iterations: int = 50, seed: int = 0
-) -> FTreeLdaTrainer:
-    """Convenience constructor with the paper's hyper-parameters."""
-    return FTreeLdaTrainer(
-        params=LDAHyperParams.paper_defaults(num_topics),
-        num_iterations=num_iterations,
-        seed=seed,
-    )

@@ -159,12 +159,3 @@ class WarpLdaTrainer(BaselineTrainer):
         bytes_per_token = self.proposals_per_token * 3.0 * device.cache_line_bytes * 0.4 + 24.0
         bandwidth = device.global_bandwidth * device.achievable_global_fraction
         return tokens * bytes_per_token / bandwidth
-
-
-def make_warplda(num_topics: int, num_iterations: int = 50, seed: int = 0) -> WarpLdaTrainer:
-    """Convenience constructor with the paper's hyper-parameters."""
-    return WarpLdaTrainer(
-        params=LDAHyperParams.paper_defaults(num_topics),
-        num_iterations=num_iterations,
-        seed=seed,
-    )

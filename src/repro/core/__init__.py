@@ -29,13 +29,14 @@ from .serialization import (
     save_sharded_model,
     word_topic_digest,
 )
-from .tokens import TokenList
+from .tokens import MalformedCorpusError, TokenList, validate_training_tokens
 
 __all__ = [
     "FrozenArtifacts",
     "LDAHyperParams",
     "LDAModel",
     "LikelihoodResult",
+    "MalformedCorpusError",
     "SparseDocTopicMatrix",
     "TokenList",
     "count_by_doc_topic_dense",
@@ -56,4 +57,5 @@ __all__ = [
     "word_topic_digest",
     "split_heldout_documents",
     "training_log_likelihood",
+    "validate_training_tokens",
 ]

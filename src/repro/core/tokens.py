@@ -16,6 +16,20 @@ from typing import Iterator, Tuple
 import numpy as np
 
 
+class MalformedCorpusError(ValueError):
+    """A training corpus the trainers refuse to fit.
+
+    ``token_index`` and ``field`` name the first offending token (both
+    ``None`` when the fault is a shape — ``D``, ``V`` or ``K`` below 1 —
+    or a whole array's dtype).
+    """
+
+    def __init__(self, message: str, token_index=None, field=None):
+        super().__init__(message)
+        self.token_index = token_index
+        self.field = field
+
+
 @dataclass
 class TokenList:
     """Structure-of-arrays token list ``L``.
@@ -143,4 +157,44 @@ class TokenList:
             np.concatenate([self.doc_ids, other.doc_ids]),
             np.concatenate([self.word_ids, other.word_ids]),
             np.concatenate([self.topics, other.topics]),
+        )
+
+
+def validate_training_tokens(
+    tokens: TokenList, num_documents: int, vocabulary_size: int, num_topics: int
+) -> None:
+    """Refuse a corpus a fit would silently truncate or mis-count.
+
+    Checks ``D``, ``V``, ``K >= 1``, integral dtypes, ``0 <= doc < D``,
+    ``0 <= word < V`` and ``topic == -1 or 0 <= topic < K`` — O(T), no
+    count matrix is touched.  Raises :class:`MalformedCorpusError`
+    naming the first bad token's index and field.
+    """
+    for name, value in (
+        ("num_documents", num_documents),
+        ("vocabulary_size", vocabulary_size),
+        ("num_topics", num_topics),
+    ):
+        if value < 1:
+            raise MalformedCorpusError(f"{name} must be >= 1, got {value}")
+    first = None
+    for field, low, high in (
+        ("doc_ids", 0, num_documents),
+        ("word_ids", 0, vocabulary_size),
+        ("topics", -1, num_topics),
+    ):
+        values = getattr(tokens, field)
+        if not np.issubdtype(values.dtype, np.integer):
+            raise MalformedCorpusError(
+                f"{field} must be integral, got dtype {values.dtype}", field=field
+            )
+        bad = np.flatnonzero((values < low) | (values >= high))
+        if bad.size and (first is None or bad[0] < first[0]):
+            first = (int(bad[0]), field, int(values[bad[0]]), low, high)
+    if first is not None:
+        index, field, value, low, high = first
+        raise MalformedCorpusError(
+            f"token {index}: {field}[{index}] = {value} is outside [{low}, {high})",
+            token_index=index,
+            field=field,
         )

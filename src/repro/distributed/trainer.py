@@ -40,7 +40,7 @@ import numpy as np
 from ..bench.timing import stopwatch
 from ..core.count_matrices import SparseDocTopicMatrix, count_by_word_topic
 from ..core.model import LDAModel
-from ..core.tokens import TokenList
+from ..core.tokens import TokenList, validate_training_tokens
 from ..gpusim.profiler import PHASE_PREPROCESSING, PHASE_SAMPLING
 from ..gpusim.streams import PCIE_P2P, DevicePool, InterconnectSpec
 from ..saberlda.config import SaberLDAConfig
@@ -254,6 +254,7 @@ class DistributedTrainer:
         alltoall = AllToAll(link=self.interconnect)
 
         # ------------- Layout, shard plans and initialisation ------------- #
+        validate_training_tokens(tokens, num_documents, vocabulary_size, params.num_topics)
         working_tokens = tokens.copy()
         if (working_tokens.topics < 0).any():
             working_tokens.randomize_topics(params.num_topics, self._rng)

@@ -20,7 +20,7 @@ from ..gpusim.profiler import ALL_PHASES
 from .config import SaberLDAConfig, ablation_presets
 from .costing import WorkloadStats
 from .projection import cost_iteration_phases
-from .trainer import SaberLDATrainer, TrainingResult
+from .trainer import SaberLDATrainer
 
 
 @dataclass
@@ -134,8 +134,3 @@ def run_ablation(
             )
         )
     return AblationReport(entries=entries)
-
-
-def summarize_result_phases(result: TrainingResult) -> Dict[str, float]:
-    """Helper used by benches: total per-phase seconds of an existing run."""
-    return result.phase_breakdown()

@@ -128,9 +128,18 @@ def build_layout(
 
     This is the full PDOW pipeline when ``config.token_order`` is
     ``WORD_MAJOR``; with ``DOC_MAJOR`` it reproduces the G0 baseline
-    layout (chunked, doc-sorted).
+    layout (chunked, doc-sorted).  Raises ``RuntimeError`` if the
+    chunks do not hold exactly the corpus's ``T`` tokens (a token whose
+    document lies outside ``[0, num_documents)`` would otherwise be
+    dropped without a word).
     """
     chunks = partition_by_document(tokens, num_documents, config.num_chunks)
+    laid_out = sum(chunk.tokens.num_tokens for chunk in chunks)
+    if laid_out != tokens.num_tokens:
+        raise RuntimeError(
+            f"layout holds {laid_out} of {tokens.num_tokens} tokens: "
+            f"document ids outside [0, {num_documents})"
+        )
     return [layout_chunk(chunk, config.token_order) for chunk in chunks]
 
 

@@ -28,7 +28,7 @@ from ..bench.timing import stopwatch
 from ..core.count_matrices import SparseDocTopicMatrix, count_by_word_topic
 from ..core.likelihood import LikelihoodResult
 from ..core.model import LDAModel
-from ..core.tokens import TokenList
+from ..core.tokens import TokenList, validate_training_tokens
 from ..gpusim.cost_model import CostModel
 from ..gpusim.profiler import Profiler
 from ..kernels.mstep import doc_side_mass
@@ -210,6 +210,7 @@ class SaberLDATrainer:
         profiler = Profiler(cost_model)
 
         # ---------------- Layout (PDOW) and initialisation ---------------- #
+        validate_training_tokens(tokens, num_documents, vocabulary_size, params.num_topics)
         working_tokens = tokens.copy()
         if (working_tokens.topics < 0).any():
             working_tokens.randomize_topics(params.num_topics, self._rng)

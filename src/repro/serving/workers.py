@@ -25,10 +25,16 @@ worker, crash containment in the parent):
   balances by outstanding batches, and survives worker failure —
   a crashed or wedged worker is detected (liveness + per-batch
   deadline), its in-flight batches are retried on surviving workers up
-  to ``max_retries``, and when no worker can answer the pool degrades
-  gracefully to in-process execution.  The conservation invariant
-  ``admitted == answered + pending + failed`` holds through every
-  fault path.
+  to ``DegradationPolicy.max_retries``, and when no worker can answer
+  the pool degrades gracefully to in-process execution.  The
+  conservation invariant ``admitted == answered + pending + failed``
+  holds through every fault path.
+
+Faults are injected one way only: a :class:`~repro.serving.faults.FaultPlan`
+keyed by ``(lane, incarnation, lane-local batch index)``, so a fault stays
+on its lane — a batch retried or hedged elsewhere never replays it.
+Recovery is configured one way only: the pool's
+:class:`~repro.serving.supervisor.DegradationPolicy`.
 
 Results are **bit-identical** to the single in-process engine: a
 request's draws are keyed by ``(seed, request_id)`` alone
@@ -74,6 +80,17 @@ PHASE_WALL = "wall"
 #: How often the parent polls the result queue while sweeping deadlines.
 _POLL_SECONDS = 0.05
 
+#: Idle-liveness beacon period: an idle worker emits a ``"heartbeat"``
+#: each time its task queue stays empty this long.
+_HEARTBEAT_SECONDS = 0.25
+
+#: How long :meth:`WorkerPool.start` waits for every worker's ``"ready"``.
+_READY_TIMEOUT_SECONDS = 120.0
+
+#: The one deadline :meth:`WorkerPool.close` joins every lane against
+#: before it kills whatever is still alive.
+_CLOSE_SECONDS = 5.0
+
 #: Every message placed on a worker queue is a tagged tuple whose first
 #: element names its kind — and every kind must be declared here.  This
 #: is the wire-format whitelist the IPC002 lint rule enforces: adding a
@@ -82,7 +99,7 @@ _POLL_SECONDS = 0.05
 #: accident.
 WIRE_MESSAGE_KINDS = frozenset(
     {
-        "batch",       # parent -> worker: (batch_id, attempt, payload, stall)
+        "batch",       # parent -> worker: (batch_id, attempt, payload)
         "cancel",      # parent -> worker: (batch_id, attempt) — hedge loser
         "stop",        # parent -> worker: shut down after current batch
         "ready",       # worker -> parent: (worker_id, incarnation, boot info dict)
@@ -129,10 +146,6 @@ class WorkerJobSpec:
     #: hook points (boot, before each lane-local batch).  ``None``: no
     #: faults, zero overhead.
     fault_plan: Optional[FaultPlan] = None
-    #: Idle-liveness beacon period: an idle worker emits a
-    #: ``"heartbeat"`` message each time the task queue stays empty this
-    #: long.  ``0`` disables heartbeats (the worker blocks forever).
-    heartbeat_seconds: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -173,7 +186,6 @@ class _InFlight:
     submitted: float
     first_submitted: float
     deadline: float
-    stall_seconds: float
     primary_attempt: int = -1
     next_attempt: int = 1
     dispatch_count: int = 0
@@ -188,25 +200,27 @@ def _worker_main(spec: WorkerJobSpec, task_queue, result_queue) -> None:
 
     Protocol (all messages are plain picklable tuples):
 
-    * parent -> worker: ``("batch", batch_id, attempt, payload, stall)``
-      or ``("stop",)``.
-    * worker -> parent: ``("ready", worker_id, info)`` once after boot,
-      then ``("ok", worker_id, batch_id, attempt, results, seconds)`` or
-      ``("error", worker_id, batch_id, attempt, traceback)`` per batch.
-    * with ``spec.trace``, a ``("telemetry", worker_id, seq, spans,
-      metrics)`` message precedes each ``"ok"`` on the same queue —
+    * parent -> worker: ``("batch", batch_id, attempt, payload)``,
+      ``("cancel", batch_id, attempt)`` or ``("stop",)``.
+    * worker -> parent, each tagged ``(kind, worker_id, incarnation,
+      ...)`` as :data:`WIRE_MESSAGE_KINDS` lists: ``"ready"`` once after
+      boot, ``"heartbeat"`` whenever the task queue stays empty for
+      ``_HEARTBEAT_SECONDS``, then ``"ok"``, ``"error"`` or
+      ``"cancelled"`` per batch.
+    * with ``spec.trace``, a ``("telemetry", worker_id, incarnation,
+      seq, spans, metrics)`` message precedes each ``"ok"`` on the same queue —
       the queue is FIFO per sender, so the parent always holds a
       batch's telemetry before it resolves the batch; ``seq`` counts
       the worker's telemetry messages so the parent-side merge is
       ordered even though workers interleave arbitrarily.
 
-    ``stall`` is a fault-injection knob (seconds to sleep *before*
-    executing) used by the fault-path tests and the slow-worker
-    benchmarks; real traffic sends 0.  ``spec.fault_plan`` faults compose
-    with it: a scheduled stall adds to the wire stall, a scheduled crash
-    hard-exits the process (``os._exit`` after flushing the shared
-    result queue's feeder, so the death is confined to this lane), a
-    scheduled reply drop computes the batch but never answers.
+    Faults come only from ``spec.fault_plan``, looked up by this lane's
+    own batch counter: a scheduled stall sleeps before executing, a
+    scheduled crash hard-exits the process (``os._exit`` after flushing
+    the shared result queue's feeder, so the death is confined to this
+    lane), a scheduled reply drop computes the batch but never answers.
+    The wire carries no fault, so a batch re-sent to another lane (retry
+    or hedge) runs clean there.
     """
     # SIGTERM (the parent's escalation signal) must not kill this process
     # between a feeder-thread write to the shared result queue and the
@@ -268,10 +282,7 @@ def _worker_main(spec: WorkerJobSpec, task_queue, result_queue) -> None:
     while not stopping:
         if not backlog:
             try:
-                if spec.heartbeat_seconds > 0:
-                    backlog.append(task_queue.get(timeout=spec.heartbeat_seconds))
-                else:
-                    backlog.append(task_queue.get())
+                backlog.append(task_queue.get(timeout=_HEARTBEAT_SECONDS))
             except queue_module.Empty:
                 # Idle liveness beacon: lets the parent distinguish "no
                 # work" from "wedged" without dispatching a probe batch.
@@ -294,7 +305,7 @@ def _worker_main(spec: WorkerJobSpec, task_queue, result_queue) -> None:
             _kind, batch_id, attempt = message
             cancelled.add((batch_id, attempt))
             continue
-        _kind, batch_id, attempt, payload, stall_seconds = message
+        _kind, batch_id, attempt, payload = message
         if (batch_id, attempt) in cancelled:
             cancelled.discard((batch_id, attempt))
             result_queue.put(("cancelled", spec.worker_id, incarnation, batch_id, attempt))
@@ -318,9 +329,8 @@ def _worker_main(spec: WorkerJobSpec, task_queue, result_queue) -> None:
             os._exit(17)  # hard death for this lane only
         started = time.monotonic()
         try:
-            total_stall = stall_seconds + action.stall_seconds
-            if total_stall > 0:
-                time.sleep(total_stall)
+            if action.stall_seconds > 0:
+                time.sleep(action.stall_seconds)
             with tracer.span("worker_batch", category="worker", track=track,
                              batch_id=batch_id, docs=len(payload)):
                 results = []
@@ -406,9 +416,9 @@ class WorkerPool:
     Fault model: a worker that dies (crash, kill) or blows the per-batch
     ``batch_timeout_seconds`` deadline is removed from the pool and its
     in-flight batches are resubmitted to surviving workers, up to
-    ``max_retries`` extra attempts per batch; when attempts are
+    ``policy.max_retries`` extra attempts per batch; when attempts are
     exhausted — or no worker is alive — the batch falls back to an
-    in-process engine over the same checkpoint (``inprocess_fallback``),
+    in-process engine over the same checkpoint (``policy.fallback``),
     so the data plane degrades to exactly the single-process behaviour
     instead of losing requests.  ``admitted == answered + pending +
     failed`` holds at every point.
@@ -422,30 +432,16 @@ class WorkerPool:
     sampler_capacity: int = 4096
     backend: "KernelBackend | str" = KernelBackend.VECTORIZED
     log_dir: Optional[str] = None
-    start_method: Optional[str] = None
     batch_timeout_seconds: float = 30.0
-    ready_timeout_seconds: float = 120.0
-    max_retries: int = 1
-    inprocess_fallback: bool = True
     mmap_mode: Optional[str] = "r"
-    #: The explicit degradation ladder (``retry → hedge → respawn →
-    #: fallback → shed``).  ``None``: built at :meth:`start` from the
-    #: legacy ``max_retries`` / ``inprocess_fallback`` knobs — bounded
-    #: retry then in-process fallback, no hedging, no respawn — so the
-    #: pre-supervision behaviour is the default.  When provided, it is
-    #: authoritative (``max_retries`` / ``inprocess_fallback`` are
-    #: overwritten from it).
-    policy: Optional[DegradationPolicy] = None
+    #: The degradation ladder (``retry → hedge → respawn → fallback →
+    #: shed``) — the one place recovery is configured.  The default is
+    #: bounded retry then in-process fallback, no hedging, no respawn.
+    policy: DegradationPolicy = field(default_factory=DegradationPolicy)
     #: Deterministic chaos schedule shipped to every worker incarnation
-    #: (see :mod:`repro.serving.faults`).  ``None``: no faults.
+    #: (see :mod:`repro.serving.faults`) — the one way to inject a fault.
+    #: ``None``: no faults.
     fault_plan: Optional[FaultPlan] = None
-    #: Worker idle-liveness beacon period (0 disables heartbeats).
-    heartbeat_seconds: float = 0.25
-    #: Fault-injection default: every submitted batch carries this stall
-    #: unless :meth:`submit` overrides it.  Lets a driver that never
-    #: touches ``submit`` directly (e.g. the open-loop server) run the
-    #: slow-worker / blown-deadline fault paths.
-    default_stall_seconds: float = 0.0
 
     #: Disabled by default: pass ``Tracer(WallClock())`` /
     #: ``MetricsRegistry()`` to observe the data plane.  Workers inherit
@@ -513,15 +509,6 @@ class WorkerPool:
             raise RuntimeError("WorkerPool.start() called twice")
         self._started = True
         self.backend = resolve_backend(self.backend)
-        if self.policy is None:
-            # Legacy knobs are the policy: bounded retry, then fallback.
-            self.policy = DegradationPolicy(
-                max_retries=self.max_retries, fallback=self.inprocess_fallback
-            )
-        else:
-            # An explicit policy is authoritative for the whole ladder.
-            self.max_retries = self.policy.max_retries
-            self.inprocess_fallback = self.policy.fallback
         # Validate the checkpoint up front (raises on a bad path) and keep
         # the state around as the fallback engine.
         self._fallback_state = FrozenModelState.from_mmap_checkpoint(
@@ -541,9 +528,7 @@ class WorkerPool:
         if self.log_dir is None:
             self.log_dir = os.path.join(self.checkpoint_dir, "worker_logs")
         os.makedirs(self.log_dir, exist_ok=True)
-        self._mp_context = multiprocessing.get_context(
-            self.start_method or _default_start_method()
-        )
+        self._mp_context = multiprocessing.get_context(_default_start_method())
         self._result_queue = self._mp_context.Queue()
         for worker_id in range(self.num_workers):
             self._spawn_worker(worker_id, incarnation=0)
@@ -572,7 +557,6 @@ class WorkerPool:
             trace=self.tracer.enabled,
             incarnation=incarnation,
             fault_plan=self.fault_plan,
-            heartbeat_seconds=self.heartbeat_seconds,
         )
         task_queue = self._mp_context.Queue()
         process = self._mp_context.Process(
@@ -589,7 +573,7 @@ class WorkerPool:
         self._last_seen[worker_id] = time.monotonic()
 
     def _await_ready(self) -> None:
-        deadline = time.monotonic() + self.ready_timeout_seconds
+        deadline = time.monotonic() + _READY_TIMEOUT_SECONDS
         awaiting = set(self._processes)
         became_ready: List[Tuple[int, int]] = []
         while awaiting and time.monotonic() < deadline:
@@ -624,34 +608,40 @@ class WorkerPool:
             self._supervisor.record_ready(worker_id, incarnation, now)
 
     def close(self) -> None:
-        """Stop every worker (politely, then forcefully) and release IPC.
+        """Stop every worker against one deadline and release IPC.
 
         Idempotent and total: safe to call twice, and guaranteed to run
-        on every exception path through the ``with`` statement.  The
-        escalation is stop → join → terminate → join → kill → join, so
-        a worker wedged in compute (which never reads the stop message)
-        is still reaped, never leaked as a zombie; the result queue is
+        on every exception path through the ``with`` statement.  Idle
+        lanes get ``stop``; busy lanes — which never read ``stop`` while
+        computing or stalled — get SIGTERM at once, which workers trap
+        into a graceful exit that flushes their feeder
+        (:func:`_worker_main`).  Every lane is joined against the single
+        ``_CLOSE_SECONDS`` deadline, whatever is still alive is then
+        killed and reaped, never leaked as a zombie; the result queue is
         drained before release so its feeder thread can't block teardown
         on a pipe full of unread answers.
         """
         if self._closed:
             return
         self._closed = True
-        for worker_id, task_queue in list(self._task_queues.items()):
-            process = self._processes.get(worker_id)
-            if process is not None and process.is_alive():
-                try:
-                    task_queue.put(("stop",))
-                except Exception:
-                    pass
-        for process in self._processes.values():
-            process.join(timeout=5.0)
-            if process.is_alive():
+        deadline = time.monotonic() + _CLOSE_SECONDS
+        for worker_id, process in sorted(self._processes.items()):
+            if not process.is_alive():
+                continue
+            if self._outstanding.get(worker_id, 0) > 0:
                 process.terminate()
-                process.join(timeout=5.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5.0)
+                continue
+            try:
+                self._task_queues[worker_id].put(("stop",))
+            except Exception:
+                process.terminate()
+        for process in self._processes.values():
+            process.join(timeout=max(deadline - time.monotonic(), 0.0))
+        stragglers = [process for process in self._processes.values() if process.is_alive()]
+        for process in stragglers:
+            process.kill()
+        for process in stragglers:
+            process.join(timeout=1.0)  # SIGKILL cannot be trapped: prompt
         # Drain stragglers (late answers, heartbeats, telemetry) so the
         # queue's feeder thread has nothing left in flight.
         if self._result_queue is not None:
@@ -745,7 +735,7 @@ class WorkerPool:
             "recovery_seconds": supervisor.recovery_seconds() if supervisor else 0.0,
             "mttr_seconds": supervisor.mttr_seconds() if supervisor else 0.0,
             "breaker_states": supervisor.breaker_states() if supervisor else {},
-            "ladder": list(self.policy.ladder()) if self.policy is not None else [],
+            "ladder": list(self.policy.ladder()),
         }
 
     # ------------------------------------------------------------------ #
@@ -754,7 +744,6 @@ class WorkerPool:
     def submit(
         self,
         requests: Sequence[ServingRequest],
-        stall_seconds: Optional[float] = None,
         worker_id: Optional[int] = None,
     ) -> int:
         """Queue one micro-batch on the least-loaded live worker.
@@ -762,14 +751,10 @@ class WorkerPool:
         Returns the batch id to pair with :meth:`collect`.  With no live
         worker the batch is parked in-flight and resolved by
         :meth:`collect` through the in-process fallback.  ``worker_id``
-        pins the batch to one worker (tests and benchmarks);
-        ``stall_seconds`` is the fault-injection sleep forwarded to the
-        worker (``None``: the pool's ``default_stall_seconds``).
+        pins the batch to one worker (tests and benchmarks).
         """
         if not self._started:
             raise RuntimeError("WorkerPool.submit() before start()")
-        if stall_seconds is None:
-            stall_seconds = self.default_stall_seconds
         payload = [
             (int(request.request_id), np.asarray(request.word_ids, dtype=np.int32))
             for request in requests
@@ -787,7 +772,6 @@ class WorkerPool:
             submitted=now,
             first_submitted=now,
             deadline=now + self.batch_timeout_seconds,
-            stall_seconds=stall_seconds,
             trace_started=self.tracer.clock.now() if self.tracer.enabled else 0.0,
         )
         self._in_flight[batch_id] = flight
@@ -832,19 +816,13 @@ class WorkerPool:
             flight.dispatch_count += 1
             flight.submitted = time.monotonic()
             flight.deadline = flight.submitted + self.batch_timeout_seconds
-            if (
-                self.policy is not None
-                and self.policy.hedge
-                and flight.hedge_worker_id < 0
-            ):
+            if self.policy.hedge and flight.hedge_worker_id < 0:
                 flight.hedge_deadline = (
                     flight.submitted
                     + self.policy.hedge_after_fraction * self.batch_timeout_seconds
                 )
         self._outstanding[worker_id] = self._outstanding.get(worker_id, 0) + 1
-        self._task_queues[worker_id].put(
-            ("batch", batch_id, attempt_id, flight.payload, flight.stall_seconds)
-        )
+        self._task_queues[worker_id].put(("batch", batch_id, attempt_id, flight.payload))
 
     def collect(self, timeout: Optional[float] = None) -> BatchOutcome:
         """Wait for the next answered (or terminally failed) batch.
@@ -933,8 +911,7 @@ class WorkerPool:
     def _respawn_pending(self) -> bool:
         """True while some lane is scheduled (or eligible) to come back."""
         return (
-            self.policy is not None
-            and self.policy.respawn
+            self.policy.respawn
             and self._supervisor is not None
             and self._supervisor.respawn_pending()
         )
@@ -1088,12 +1065,8 @@ class WorkerPool:
         for worker_id in sorted(self._processes):
             if not self._processes[worker_id].is_alive():
                 failed[worker_id] = "crash"
-        if (
-            self.policy is not None
-            and self.policy.respawn
-            and self.heartbeat_seconds > 0
-        ):
-            threshold = max(4.0 * self.heartbeat_seconds, 1.0)
+        if self.policy.respawn:
+            threshold = max(4.0 * _HEARTBEAT_SECONDS, 1.0)
             for worker_id in sorted(self._processes):
                 if worker_id in failed:
                     continue
@@ -1143,7 +1116,7 @@ class WorkerPool:
 
     def _fire_hedges(self, now: float) -> None:
         """Duplicate straggler batches onto the least-loaded healthy lane."""
-        if self.policy is None or not self.policy.hedge:
+        if not self.policy.hedge:
             return
         for batch_id, flight in sorted(self._in_flight.items()):
             if flight.hedge_deadline is None or now < flight.hedge_deadline:
@@ -1208,7 +1181,7 @@ class WorkerPool:
     def _retry_or_fallback(self, batch_id: int, flight: _InFlight) -> Optional[BatchOutcome]:
         """Walk the rest of the ladder for a batch whose dispatch failed."""
         target = self._least_loaded()
-        if flight.dispatch_count <= self.max_retries:
+        if flight.dispatch_count <= self.policy.max_retries:
             if target is not None:
                 self.retries += 1
                 self.metrics.counter("pool.retries").inc()
@@ -1222,7 +1195,7 @@ class WorkerPool:
                 flight.primary_attempt = -1
                 flight.hedge_deadline = None
                 return None
-        if self.inprocess_fallback:
+        if self.policy.fallback:
             return self._resolve_inprocess(batch_id)
         del self._in_flight[batch_id]
         self.failed += len(flight.payload)
@@ -1244,8 +1217,8 @@ class WorkerPool:
 
         The fallback state shares the same mmap checkpoint, and requests
         are keyed by ``(seed, request_id)`` — the answer is bit-identical
-        to what the lost worker would have produced.  (The fault-injection
-        stall is an IPC-side knob; the fallback does not replay it.)
+        to what the lost worker would have produced.  (Injected faults
+        belong to worker lanes; the parent never enacts one.)
         """
         flight = self._in_flight.pop(batch_id)
         self.fallback_batches += 1

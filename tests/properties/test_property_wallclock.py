@@ -20,6 +20,9 @@ from repro.core import LDAHyperParams, save_model_mmap
 from repro.core.model import LDAModel
 from repro.serving import (
     BatchScheduler,
+    DegradationPolicy,
+    FaultEvent,
+    FaultPlan,
     RequestQueue,
     ResultCache,
     TopicServer,
@@ -33,6 +36,14 @@ SEED = 29
 
 #: Fault paths exercised, keyed by how the pool is built / perturbed.
 FAULTS = ("none", "degraded", "worker_kill", "timeout_fallback", "timeout_failed")
+
+#: The wedge both timeout paths hit: lane 0's first batch stalls far
+#: past the deadline (its lane is then killed, so no later batch reaches
+#: a worker).
+WEDGE = FaultPlan(
+    seed=SEED,
+    events=(FaultEvent(kind="stall", worker_id=0, at_batch=0, seconds=1.0),),
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +69,7 @@ def _pool(checkpoint, fault: str) -> WorkerPool:
     if fault == "degraded":
         return WorkerPool(checkpoint, num_workers=0, seed=SEED, num_sweeps=2)
     if fault == "timeout_fallback":
-        # Every batch wedges past the deadline; no retry budget and no
+        # The first batch wedges past the deadline; no retry budget and no
         # survivor, so the pool must answer in-process.
         return WorkerPool(
             checkpoint,
@@ -66,8 +77,8 @@ def _pool(checkpoint, fault: str) -> WorkerPool:
             seed=SEED,
             num_sweeps=2,
             batch_timeout_seconds=0.2,
-            max_retries=0,
-            default_stall_seconds=1.0,
+            policy=DegradationPolicy(max_retries=0),
+            fault_plan=WEDGE,
         )
     if fault == "timeout_failed":
         # Same wedge, but the fallback is refused: batches must FAIL and
@@ -78,9 +89,8 @@ def _pool(checkpoint, fault: str) -> WorkerPool:
             seed=SEED,
             num_sweeps=2,
             batch_timeout_seconds=0.2,
-            max_retries=0,
-            inprocess_fallback=False,
-            default_stall_seconds=1.0,
+            policy=DegradationPolicy(max_retries=0, fallback=False),
+            fault_plan=WEDGE,
         )
     return WorkerPool(checkpoint, num_workers=2, seed=SEED, num_sweeps=2)
 

@@ -35,6 +35,7 @@ from repro.serving import (
     pool_results_digest,
     serve_wallclock,
 )
+from repro.serving.workers import _CLOSE_SECONDS
 
 NUM_TOPICS = 6
 VOCABULARY = 80
@@ -97,6 +98,14 @@ def _pool(checkpoint, **overrides):
     )
     options.update(overrides)
     return WorkerPool(**options)
+
+
+def _stall(seconds):
+    """A one-event FaultPlan: lane 0 stalls ``seconds`` before its first batch."""
+    return FaultPlan(
+        seed=SEED,
+        events=(FaultEvent(kind="stall", worker_id=0, at_batch=0, seconds=seconds),),
+    )
 
 
 def _assert_conserved(pool):
@@ -165,11 +174,13 @@ class TestFaultPaths:
     def test_worker_killed_mid_batch_retries_on_survivor(
         self, checkpoint, requests, reference_digest
     ):
-        with _pool(checkpoint, batch_timeout_seconds=20.0) as pool:
+        with _pool(
+            checkpoint, batch_timeout_seconds=20.0, fault_plan=_stall(8.0)
+        ) as pool:
             # Pin a stalled batch to worker 0, kill it mid-flight.
             first = requests[: len(requests) // 2]
             second = requests[len(requests) // 2 :]
-            pool.submit(first, stall_seconds=8.0, worker_id=0)
+            pool.submit(first, worker_id=0)
             time.sleep(0.3)
             pool._processes[0].kill()
             pool.submit(second, worker_id=1)
@@ -187,15 +198,43 @@ class TestFaultPaths:
         flat.sort(key=lambda o: o.request_id)
         assert pool_results_digest(flat) == reference_digest
 
+    def test_retry_after_lane_kill_does_not_replay_the_stall(
+        self, checkpoint, requests, reference_digest
+    ):
+        # The stall is lane 0's fault: the batch re-sent to lane 1 must
+        # run clean there, answering long before the 8 s stall would end.
+        with _pool(
+            checkpoint, batch_timeout_seconds=20.0, fault_plan=_stall(8.0)
+        ) as pool:
+            pool.submit(requests, worker_id=0)
+            time.sleep(0.3)
+            pool._processes[0].kill()
+            watch = stopwatch()
+            outcome = pool.collect()
+            elapsed = watch.elapsed()
+            _assert_conserved(pool)
+            assert pool.retries == 1
+        assert outcome.status == "answered" and outcome.worker_id == 1
+        assert outcome.attempts == 2
+        assert elapsed < 2.0
+        flat = [
+            type("Outcome", (), {"request_id": rid, "theta": result.theta})()
+            for rid, result in zip(outcome.request_ids, outcome.results, strict=True)
+        ]
+        assert pool_results_digest(flat) == reference_digest
+
     def test_ipc_timeout_falls_back_in_process(
         self, checkpoint, requests, reference_digest
     ):
         # One worker, wedged far past the deadline: the pool must kill
         # it, exhaust retries (no survivor exists) and answer in-process.
         with _pool(
-            checkpoint, num_workers=1, batch_timeout_seconds=0.4
+            checkpoint,
+            num_workers=1,
+            batch_timeout_seconds=0.4,
+            fault_plan=_stall(60.0),
         ) as pool:
-            pool.submit(requests, stall_seconds=60.0, worker_id=0)
+            pool.submit(requests, worker_id=0)
             outcome = pool.collect()
             _assert_conserved(pool)
             assert outcome.status == "answered"
@@ -213,10 +252,10 @@ class TestFaultPaths:
             checkpoint,
             num_workers=1,
             batch_timeout_seconds=0.4,
-            max_retries=0,
-            inprocess_fallback=False,
+            policy=DegradationPolicy(max_retries=0, fallback=False),
+            fault_plan=_stall(60.0),
         ) as pool:
-            pool.submit(requests[:4], stall_seconds=60.0, worker_id=0)
+            pool.submit(requests[:4], worker_id=0)
             outcome = pool.collect()
             assert outcome.status == "failed"
             assert outcome.results == []
@@ -244,6 +283,15 @@ class TestValidation:
                 pool.start()
             with pytest.raises(ValueError, match="no batch in flight"):
                 pool.collect()
+
+    def test_default_policy_is_retry_then_fallback(self, checkpoint):
+        # Recovery has one spelling: the pool's DegradationPolicy, present
+        # from construction (not filled in by start()).
+        pool = _pool(checkpoint, num_workers=0)
+        assert pool.policy == DegradationPolicy()
+        assert pool.stats()["ladder"] == ["retry", "fallback", "shed"]
+        with pool:
+            assert pool.stats()["ladder"] == ["retry", "fallback", "shed"]
 
     def test_rejects_non_mmap_checkpoint(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -327,9 +375,30 @@ class TestLifecycle:
         # Regression: an exception while a batch is in flight must still
         # run close() on the way out and reap every worker process.
         with pytest.raises(RuntimeError, match="boom"):
-            with _pool(checkpoint) as pool:
-                pool.submit(requests[:4], stall_seconds=5.0)
+            with _pool(checkpoint, fault_plan=_stall(5.0)) as pool:
+                pool.submit(requests[:4])  # least loaded: lane 0
                 raise RuntimeError("boom")
+        assert _reap_window() == []
+
+    def test_close_with_every_lane_wedged_meets_one_deadline(
+        self, checkpoint, requests
+    ):
+        # Both lanes stall 60 s and never read "stop": close() must not
+        # wait each one out in turn, and must leave no child behind.
+        plan = FaultPlan(
+            seed=SEED,
+            events=tuple(
+                FaultEvent(kind="stall", worker_id=lane, at_batch=0, seconds=60.0)
+                for lane in (0, 1)
+            ),
+        )
+        pool = _pool(checkpoint, fault_plan=plan).start()
+        pool.submit(requests[:4], worker_id=0)
+        pool.submit(requests[4:8], worker_id=1)
+        time.sleep(0.3)  # both lanes are inside their stall
+        watch = stopwatch()
+        pool.close()
+        assert watch.elapsed() < _CLOSE_SECONDS + 1.0
         assert _reap_window() == []
 
     def test_close_is_idempotent(self, checkpoint, requests):
@@ -357,8 +426,10 @@ class TestDispatchCounting:
         # Kill worker 0 mid-batch: the batch re-sends to worker 1, but
         # ``dispatched`` and the lane tallies still see exactly one
         # dispatch per admitted batch (IPC sends = dispatched + retries).
-        with _pool(checkpoint, batch_timeout_seconds=20.0) as pool:
-            pool.submit(requests[:6], stall_seconds=8.0, worker_id=0)
+        with _pool(
+            checkpoint, batch_timeout_seconds=20.0, fault_plan=_stall(8.0)
+        ) as pool:
+            pool.submit(requests[:6], worker_id=0)
             time.sleep(0.3)
             pool._processes[0].kill()
             pool.submit(requests[6:], worker_id=1)

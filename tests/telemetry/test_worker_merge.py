@@ -16,6 +16,8 @@ import pytest
 from repro.core import LDAHyperParams, save_model_mmap
 from repro.core.model import LDAModel
 from repro.serving import (
+    FaultEvent,
+    FaultPlan,
     InferenceEngine,
     ServingRequest,
     WorkerPool,
@@ -172,14 +174,21 @@ class TestKilledWorker:
     def test_dead_worker_contributes_its_prefix(
         self, checkpoint, requests, reference_digest
     ):
-        with _traced_pool(checkpoint, batch_timeout_seconds=20.0) as pool:
+        # Worker 0's second lane-local batch (index 1) stalls.
+        plan = FaultPlan(
+            seed=SEED,
+            events=(FaultEvent(kind="stall", worker_id=0, at_batch=1, seconds=8.0),),
+        )
+        with _traced_pool(
+            checkpoint, batch_timeout_seconds=20.0, fault_plan=plan
+        ) as pool:
             first = requests[: len(requests) // 2]
             second = requests[len(requests) // 2 :]
             # Worker 0 finishes one clean batch (its telemetry gets out)...
             pool.submit(first, worker_id=0)
             outcomes = [pool.collect()]
             # ...then dies mid-flight on the next one.
-            pool.submit(first, stall_seconds=8.0, worker_id=0)
+            pool.submit(first, worker_id=0)
             time.sleep(0.3)
             pool._processes[0].kill()
             pool.submit(second, worker_id=1)
